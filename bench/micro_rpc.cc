@@ -99,9 +99,9 @@ BENCHMARK(BM_PipelinedThroughput)->Arg(8)->Arg(64);
 void
 BM_PipelinedThroughputCorked(benchmark::State &state)
 {
-    // Same pipelined window, but the whole batch leaves under one
-    // write cork — one scatter-gather sendmsg per connection instead
-    // of one per call.
+    // Same pipelined window, but the whole window leaves in one write
+    // batch — one scatter-gather sendmsg per connection instead of one
+    // per call.
     auto server = makeEchoServer();
     RpcClient client(server->port());
     const std::string body(64, 'x');
@@ -110,7 +110,7 @@ BM_PipelinedThroughputCorked(benchmark::State &state)
     for (auto _ : state) {
         CountdownLatch latch{uint32_t(window)};
         {
-            ScopedWriteBatch batch(&client);
+            ScopedWriteBatch batch;
             for (int i = 0; i < window; ++i) {
                 client.call(kEcho, body,
                             [&](const Status &, std::string_view) {
@@ -160,7 +160,7 @@ BENCHMARK(BM_FrameCodec)->Arg(64)->Arg(4096);
 /**
  * CI smoke mode (--smoke-json=PATH): a fixed, short workload that
  * records the bench trajectory without google-benchmark's adaptive
- * iteration counts — single-call round-trip latency, corked pipelined
+ * iteration counts — single-call round-trip latency, batched pipelined
  * throughput, and the syscall bill per pipelined request. Runs in
  * about a second so tools/check.sh can afford it on every push.
  */
@@ -191,7 +191,7 @@ runSmoke(const std::string &path)
         rtt_sum += sample;
     const double rtt_mean = double(rtt_sum) / samples;
 
-    // Corked pipelined batches: QPS plus the per-request syscall bill
+    // Batched pipelined windows: QPS plus the per-request syscall bill
     // (this is the number the batched write path exists to shrink).
     constexpr int depth = 16;
     constexpr int batches = 200;
@@ -200,7 +200,7 @@ runSmoke(const std::string &path)
     for (int batch = 0; batch < batches; ++batch) {
         CountdownLatch latch{depth};
         {
-            ScopedWriteBatch cork(&client);
+            ScopedWriteBatch batch;
             for (int i = 0; i < depth; ++i) {
                 client.call(kEcho, body,
                             [&](const Status &, std::string_view) {

@@ -332,6 +332,29 @@ heldLockCount()
     return t_held_count;
 }
 
+namespace {
+thread_local size_t t_held_write_frames = 0;
+} // namespace
+
+void
+noteHeldWriteFrames(size_t frames)
+{
+    t_held_write_frames = frames;
+}
+
+void
+assertNoHeldWriteFrames(const char *where)
+{
+    if (t_held_write_frames == 0)
+        return;
+    std::fprintf(stderr,
+                 "musuite sync_debug: blocking wait in %s while the "
+                 "thread's write batch holds %zu frame(s)\n",
+                 where, t_held_write_frames);
+    printCurrentBacktrace();
+    abortSyncDebug();
+}
+
 void
 assertRole(ThreadRole expected, const char *where)
 {

@@ -133,6 +133,21 @@ void assertRoleOneOf(std::initializer_list<ThreadRole> allowed,
 /** Number of locks the calling thread currently holds (tests). */
 size_t heldLockCount();
 
+/**
+ * Record how many frames the calling thread's write batch
+ * (net/frame.h ScopedWriteBatch) holds unflushed; the batch keeps it
+ * current.
+ */
+void noteHeldWriteFrames(size_t frames);
+
+/**
+ * Abort, naming `where` and the batch size, if the calling thread's
+ * write batch holds frames. A thread that blocks with frames held
+ * stalls every peer waiting on them, and deadlocks if it waits for an
+ * answer to one of them. Called by every blocking wait.
+ */
+void assertNoHeldWriteFrames(const char *where);
+
 #else // !MUSUITE_DEBUG_SYNC — all checks compile to nothing.
 
 inline void checkAcquire(const void *, LockRank, const char *) {}
@@ -143,6 +158,8 @@ inline void
 assertRoleOneOf(std::initializer_list<ThreadRole>, const char *)
 {}
 inline size_t heldLockCount() { return 0; }
+inline void noteHeldWriteFrames(size_t) {}
+inline void assertNoHeldWriteFrames(const char *) {}
 
 #endif // MUSUITE_DEBUG_SYNC
 

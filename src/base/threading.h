@@ -262,6 +262,7 @@ class CountdownLatch
     void
     wait()
     {
+        syncdbg::assertNoHeldWriteFrames("CountdownLatch::wait");
         MutexLock lock(mutex);
         while (remaining != 0)
             released.wait(lock);

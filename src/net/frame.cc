@@ -19,7 +19,66 @@ namespace {
 /** Frames rejected on the send side for exceeding maxFrameBytes. */
 std::atomic<uint64_t> oversizedSends{0};
 
+/** One frame held by a thread's write batch. */
+struct HeldFrame
+{
+    std::shared_ptr<FramedConnection> conn;
+    std::string payload;
+};
+
+/** The calling thread's write batch (ScopedWriteBatch). */
+struct ThreadBatch
+{
+    int depth = 0; //!< Open scopes.
+    std::vector<HeldFrame> frames;
+    /** One connection's payloads while flushing; capacity is kept. */
+    std::vector<std::string> group;
+};
+
+thread_local ThreadBatch threadBatch;
+
 } // namespace
+
+ScopedWriteBatch::ScopedWriteBatch()
+{
+    ++threadBatch.depth;
+}
+
+ScopedWriteBatch::~ScopedWriteBatch()
+{
+    if (--threadBatch.depth == 0)
+        flush();
+}
+
+void
+ScopedWriteBatch::flush()
+{
+    ThreadBatch &batch = threadBatch;
+    std::vector<HeldFrame> &frames = batch.frames;
+    // Group by connection in send order. A round touches few distinct
+    // connections, so one scan per connection beats sorting or a map.
+    for (size_t i = 0; i < frames.size(); ++i) {
+        std::shared_ptr<FramedConnection> conn = std::move(frames[i].conn);
+        if (!conn)
+            continue; // Sent with an earlier frame's connection.
+        batch.group.push_back(std::move(frames[i].payload));
+        for (size_t j = i + 1; j < frames.size(); ++j) {
+            if (frames[j].conn == conn) {
+                batch.group.push_back(std::move(frames[j].payload));
+                frames[j].conn.reset();
+            }
+        }
+        conn->sendAll(batch.group);
+    }
+    frames.clear();
+    syncdbg::noteHeldWriteFrames(0);
+}
+
+size_t
+ScopedWriteBatch::heldFrames()
+{
+    return threadBatch.frames.size();
+}
 
 uint64_t
 FramedConnection::oversizedSendCount()
@@ -126,7 +185,7 @@ FramedConnection::onWritable()
         ok = flushLocked(lock);
     }
     if (!ok)
-        shutdown();
+        sendFailed();
 }
 
 bool
@@ -158,6 +217,17 @@ FramedConnection::sendFrameOwned(std::string payload)
         return false;
     }
 
+    // Inside a round, hold the frame in the thread's batch. Only a
+    // shared_ptr-owned connection can be held past this call.
+    if (threadBatch.depth > 0) {
+        if (auto self = weak_from_this().lock()) {
+            threadBatch.frames.push_back(
+                {std::move(self), std::move(payload)});
+            syncdbg::noteHeldWriteFrames(threadBatch.frames.size());
+            return true;
+        }
+    }
+
     bool ok;
     {
         MutexLock lock(outMutex);
@@ -165,30 +235,38 @@ FramedConnection::sendFrameOwned(std::string payload)
         ok = flushLocked(lock);
     }
     if (!ok)
-        shutdown();
+        sendFailed();
     return !isDead();
 }
 
 void
-FramedConnection::cork()
+FramedConnection::sendAll(std::vector<std::string> &payloads)
 {
-    MutexLock lock(outMutex);
-    ++corkDepth;
-}
-
-bool
-FramedConnection::uncork()
-{
+    if (isDead()) {
+        for (std::string &payload : payloads)
+            releaseWireBuffer(std::move(payload));
+        payloads.clear();
+        return;
+    }
     bool ok;
     {
         MutexLock lock(outMutex);
-        MUSUITE_CHECK(corkDepth > 0) << "uncork without matching cork";
-        --corkDepth;
-        ok = corkDepth == 0 ? flushLocked(lock) : true;
+        for (std::string &payload : payloads)
+            queueLocked(std::move(payload));
+        ok = flushLocked(lock);
     }
+    payloads.clear();
     if (!ok)
+        sendFailed();
+}
+
+void
+FramedConnection::sendFailed()
+{
+    if (poller)
+        sock.shutdownRw();
+    else
         shutdown();
-    return !isDead();
 }
 
 void
@@ -204,12 +282,12 @@ FramedConnection::queueLocked(std::string &&payload)
 bool
 FramedConnection::flushLocked(MutexLock &lock)
 {
-    if (flushing || corkDepth > 0)
-        return true; // The active flusher / uncork will drain us.
+    if (flushing)
+        return true; // The active flusher will drain us.
     flushing = true;
 
     bool ok = true;
-    while (!outQueue.empty() && corkDepth == 0) {
+    while (!outQueue.empty()) {
         // Build the scatter list: {header, payload} per frame, the
         // front frame offset by outCursor.
         struct iovec iov[2 * maxFramesPerFlush];

@@ -16,9 +16,14 @@
  *    single flusher drains the queue with the lock *dropped* across
  *    the syscall; concurrent senders just append and return, so load
  *    coalesces naturally instead of convoying on the kernel.
- *  - cork()/uncork() let callers batch explicitly: a mid-tier issuing
- *    a fan-out (or a worker flushing a batch of responses) corks,
- *    queues everything, and uncorks into one syscall.
+ *  - One thread-scoped write batch per drain round (ScopedWriteBatch
+ *    below): while a server worker runs one popMany round, a server
+ *    poller handles one readable event, or a client completion thread
+ *    handles one Poller::wait round, every frame the thread sends is
+ *    held in a thread-local list. When the round closes, each touched
+ *    connection takes all of its frames under one lock and one flush,
+ *    so the fan-out legs of every request in the round that go to the
+ *    same leaf leave in one sendmsg, as do the round's responses.
  *  - Inbound bytes land directly in a cursor-compacted buffer (no
  *    erase(0, cursor) shuffle), and a short read ends the recv loop —
  *    a short read means the kernel buffer is drained, so the old
@@ -32,10 +37,13 @@
 #define MUSUITE_NET_FRAME_H
 
 #include <atomic>
+#include <cstddef>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "base/threading.h"
 #include "net/poller.h"
@@ -44,6 +52,7 @@
 namespace musuite {
 
 class FramedConnection
+    : public std::enable_shared_from_this<FramedConnection>
 {
   public:
     /** Frames larger than this indicate a corrupt stream. */
@@ -80,12 +89,16 @@ class FramedConnection
     void onWritable();
 
     /**
-     * Queue one frame and flush as much as the kernel accepts.
-     * Callable from any thread. Oversized payloads are rejected
-     * (counted under net.frame.oversized_send) without harming the
-     * connection.
+     * Queue one frame and flush as much as the kernel accepts — or,
+     * while the calling thread has a ScopedWriteBatch open and this
+     * connection is owned by a shared_ptr, hold it in the thread's
+     * batch until the outermost scope closes. Callable from any
+     * thread. Oversized payloads are rejected (counted under
+     * net.frame.oversized_send) without harming the connection.
      * @return false if the frame was rejected or the connection is
-     *         dead.
+     *         dead. A send that fails later, at flush, shuts the
+     *         socket down; the reader thread then sees the hangup and
+     *         runs the owner's usual connection-lost path.
      */
     bool sendFrame(std::string_view payload);
 
@@ -95,16 +108,6 @@ class FramedConnection
      * once the kernel has it.
      */
     bool sendFrameOwned(std::string payload);
-
-    /**
-     * Write-combining: while corked, sendFrame() only queues; the
-     * matching uncork() flushes everything queued since — ideally as
-     * one scatter-gather syscall. Nests; callable from any thread.
-     */
-    void cork();
-
-    /** @return false if the connection died flushing. */
-    bool uncork();
 
     bool isDead() const { return dead.load(std::memory_order_acquire); }
     int fd() const { return sock.fd(); }
@@ -120,6 +123,8 @@ class FramedConnection
     void shutdown();
 
   private:
+    friend class ScopedWriteBatch;
+
     /** One queued outbound frame: length prefix + payload. */
     struct OutFrame
     {
@@ -129,6 +134,21 @@ class FramedConnection
 
     /** Append one frame to the outbound queue. */
     void queueLocked(std::string &&payload) REQUIRES(outMutex);
+
+    /**
+     * Queue every payload (moved out; the vector is left empty) under
+     * one lock, then flush once. A dead connection recycles them.
+     */
+    void sendAll(std::vector<std::string> &payloads);
+
+    /**
+     * React to a hard send error. With a poller, only shut the socket
+     * down: the fd stays registered, so the reader thread sees the
+     * hangup and tears the connection down through its owner (the
+     * client then fails the pending calls once, the server drops the
+     * connection). Without a poller nobody else will, so shut down.
+     */
+    void sendFailed();
 
     /**
      * Drain the outbound queue through sendv, releasing `lock` across
@@ -160,10 +180,41 @@ class FramedConnection
     /** Bytes of the front frame already handed to the kernel. */
     size_t outCursor GUARDED_BY(outMutex) = 0;
     bool flushing GUARDED_BY(outMutex) = false;
-    int corkDepth GUARDED_BY(outMutex) = 0;
     bool writeArmed GUARDED_BY(outMutex) = false;
 
     std::atomic<bool> dead{false};
+};
+
+/**
+ * The thread's write batch for one drain round. Scopes nest; only the
+ * outermost one on a thread flushes. While one is open, every frame
+ * the thread sends on a shared_ptr-owned FramedConnection is appended
+ * to a thread-local list instead of being flushed. When the outermost
+ * scope closes, each touched connection receives all of its frames
+ * (in the order this thread sent them) under one lock and one flush.
+ *
+ * Frames are collected per thread and never cork the connection
+ * itself, so frames other threads send on the same connection are
+ * not held behind this thread's round. A thread must not block while
+ * its batch holds frames: the peers waiting on them would stall, and
+ * a wait for an answer to one of them would never end. Blocking
+ * helpers flush first (Channel::callSync), and MUSUITE_DEBUG_SYNC
+ * builds abort a blocking wait that finds frames held.
+ */
+class ScopedWriteBatch
+{
+  public:
+    ScopedWriteBatch();
+    ~ScopedWriteBatch();
+
+    ScopedWriteBatch(const ScopedWriteBatch &) = delete;
+    ScopedWriteBatch &operator=(const ScopedWriteBatch &) = delete;
+
+    /** Flush what the calling thread holds now; scopes stay open. */
+    static void flush();
+
+    /** Frames the calling thread's batch holds unflushed. */
+    static size_t heldFrames();
 };
 
 } // namespace musuite

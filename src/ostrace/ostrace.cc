@@ -5,6 +5,7 @@
 
 #include "ostrace/ostrace.h"
 
+#include <algorithm>
 #include <atomic>
 
 namespace musuite {
@@ -48,19 +49,58 @@ struct OsTraceRecorder::LocalRecorder
         GUARDED_BY(mutex);
 };
 
-OsTraceRecorder::OsTraceRecorder() = default;
+/** The calling thread's recorder, retired into its owner at exit. */
+struct OsTraceRecorder::ThreadSlot
+{
+    OsTraceRecorder *owner = nullptr;
+    std::shared_ptr<LocalRecorder> local;
+
+    ~ThreadSlot()
+    {
+        if (owner)
+            owner->retire(local);
+    }
+};
+
+OsTraceRecorder::OsTraceRecorder()
+{
+    MutexLock guard(registryMutex);
+    for (auto &hist : retired)
+        hist.emplace(4);
+}
+
 OsTraceRecorder::~OsTraceRecorder() = default;
 
 OsTraceRecorder::LocalRecorder &
 OsTraceRecorder::localRecorder()
 {
-    thread_local std::shared_ptr<LocalRecorder> local;
-    if (!local) {
-        local = std::make_shared<LocalRecorder>();
+    thread_local ThreadSlot slot;
+    if (!slot.local) {
+        slot.local = std::make_shared<LocalRecorder>();
+        slot.owner = this;
         MutexLock guard(registryMutex);
-        locals.push_back(local);
+        locals.push_back(slot.local);
     }
-    return *local;
+    return *slot.local;
+}
+
+void
+OsTraceRecorder::retire(const std::shared_ptr<LocalRecorder> &local)
+{
+    MutexLock registry_guard(registryMutex);
+    {
+        MutexLock guard(local->mutex);
+        for (size_t c = 0; c < numOsCategories; ++c)
+            retired[c]->merge(*local->histograms[c]);
+    }
+    locals.erase(std::find(locals.begin(), locals.end(), local));
+}
+
+size_t
+OsTraceRecorder::registeredThreads()
+{
+    MutexLock guard(registryMutex);
+    return locals.size();
 }
 
 void
@@ -80,6 +120,10 @@ OsTraceRecorder::collect()
         Histogram(4), Histogram(4), Histogram(4), Histogram(4),
         Histogram(4), Histogram(4), Histogram(4), Histogram(4)};
     MutexLock registry_guard(registryMutex);
+    for (size_t c = 0; c < numOsCategories; ++c) {
+        merged[c].merge(*retired[c]);
+        retired[c]->reset();
+    }
     for (auto &local : locals) {
         MutexLock guard(local->mutex);
         for (size_t c = 0; c < numOsCategories; ++c) {
@@ -111,8 +155,10 @@ OsTraceRecorder::isEnabled() const
 OsTraceRecorder &
 osTrace()
 {
-    static OsTraceRecorder recorder;
-    return recorder;
+    // Never destroyed: threads owned by other statics (the shared
+    // timer thread) retire their recorders during static destruction.
+    static OsTraceRecorder *recorder = new OsTraceRecorder();
+    return *recorder;
 }
 
 } // namespace musuite

@@ -22,7 +22,9 @@
  *
  * Recording is wait-free on the hot path: each thread owns a local set
  * of histograms registered with the global recorder and merged at
- * collection time.
+ * collection time. A thread's set is retired when the thread exits:
+ * its samples fold into one retained set that the next collect()
+ * merges, so the registry holds live threads only.
  */
 
 #ifndef MUSUITE_OSTRACE_OSTRACE_H
@@ -63,7 +65,8 @@ std::array<OsCategory, numOsCategories> allOsCategories();
 /**
  * Global recorder of per-category latency distributions. One instance
  * serves the whole process; windows are delimited by collect(), which
- * merges and then clears every thread's local histograms.
+ * merges and then clears every thread's local histograms. A recorder
+ * must outlive every thread that records into it.
  */
 class OsTraceRecorder
 {
@@ -87,13 +90,23 @@ class OsTraceRecorder
     void setEnabled(bool enabled);
     bool isEnabled() const;
 
+    /** Threads whose local histograms are registered (live ones). */
+    size_t registeredThreads();
+
   private:
     struct LocalRecorder;
+    struct ThreadSlot;
 
     LocalRecorder &localRecorder();
 
+    /** Fold an exiting thread's samples into `retired`; unregister. */
+    void retire(const std::shared_ptr<LocalRecorder> &local);
+
     Mutex registryMutex{LockRank::osTraceRegistry, "ostrace.registry"};
     std::vector<std::shared_ptr<LocalRecorder>> locals
+        GUARDED_BY(registryMutex);
+    /** Samples of exited threads not yet collected. */
+    std::array<std::optional<Histogram>, numOsCategories> retired
         GUARDED_BY(registryMutex);
     std::atomic<bool> enabled{true};
 };

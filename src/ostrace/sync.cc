@@ -59,6 +59,7 @@ TracedMutex::try_lock()
 void
 TracedCondVar::waitImpl(std::unique_lock<TracedMutex> &lock, void *)
 {
+    syncdbg::assertNoHeldWriteFrames("TracedCondVar::wait");
     auto &stats = contentionStats();
     stats.futexWaits.fetch_add(1, std::memory_order_relaxed);
     countSyscall(Sys::Futex);

@@ -665,6 +665,9 @@ Channel::callSync(uint32_t method, std::string body,
              cell->ready.notify_one();
          });
 
+    // The request may sit in this thread's write batch (a handler in a
+    // drain round); send it before blocking on the answer.
+    ScopedWriteBatch::flush();
     std::unique_lock<TracedMutex> lock(cell->mutex);
     cell->ready.wait(lock, [&] { return cell->done; });
     if (!cell->status.isOk())

@@ -40,15 +40,14 @@
 #ifndef MUSUITE_RPC_CHANNEL_H
 #define MUSUITE_RPC_CHANNEL_H
 
-#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "base/status.h"
+#include "net/frame.h"
 
 namespace musuite {
 
@@ -168,19 +167,17 @@ class Channel
     virtual bool isHealthy() const { return true; }
 
     /**
-     * Write-combining hints. Between corkWrites() and the matching
-     * uncorkWrites(), a transport may hold frames back and flush them
-     * all at uncork — ideally one scatter-gather syscall per
-     * connection — so a caller issuing many calls back to back (a
-     * fan-out, a pipelined batch) pays one sendmsg instead of one per
-     * call. Purely advisory: the defaults are no-ops (in-process
-     * channels have no wire), calls stay asynchronous, and nesting is
-     * allowed. Prefer ScopedWriteBatch over raw cork/uncork pairs.
+     * No-ops kept for decorators that still forward them. Frames are
+     * combined per thread round by ScopedWriteBatch, not per channel.
      */
     virtual void corkWrites() {}
     virtual void uncorkWrites() {}
 
-    /** Blocking convenience wrappers over call(). */
+    /**
+     * Blocking convenience wrappers over call(). They flush the
+     * calling thread's write batch before waiting, so a handler inside
+     * a drain round can call them without stalling its own request.
+     */
     Result<std::string> callSync(uint32_t method, std::string body);
     Result<std::string> callSync(uint32_t method, std::string body,
                                  const CallOptions &options);
@@ -319,41 +316,14 @@ class Channel
 };
 
 /**
- * RAII write batch over a set of channels: add() corks a channel the
- * first time it appears (duplicates are fine), the destructor uncorks
- * everything. Scope it around a burst of call()s; responses cannot
- * arrive before the frames flush, so the batch must end before any
- * blocking wait on completions.
+ * Write combining is per thread, not per channel: every frame a thread
+ * sends while a batch is open leaves when its outermost scope closes,
+ * one flush per connection (net/frame.h). Servers and clients open
+ * one around each drain round; open one around a burst of call()s
+ * issued outside a round (a pipelined window, a bench loop) and close
+ * it before waiting on their completions.
  */
-class ScopedWriteBatch
-{
-  public:
-    ScopedWriteBatch() = default;
-    explicit ScopedWriteBatch(Channel *channel) { add(channel); }
-
-    ScopedWriteBatch(const ScopedWriteBatch &) = delete;
-    ScopedWriteBatch &operator=(const ScopedWriteBatch &) = delete;
-
-    ~ScopedWriteBatch()
-    {
-        for (Channel *channel : corked)
-            channel->uncorkWrites();
-    }
-
-    void
-    add(Channel *channel)
-    {
-        if (!channel ||
-            std::find(corked.begin(), corked.end(), channel) !=
-                corked.end())
-            return;
-        channel->corkWrites();
-        corked.push_back(channel);
-    }
-
-  private:
-    std::vector<Channel *> corked;
-};
+using ScopedWriteBatch = musuite::ScopedWriteBatch;
 
 } // namespace rpc
 } // namespace musuite

@@ -170,43 +170,6 @@ RpcClient::killConnections()
     }
 }
 
-void
-RpcClient::corkWrites()
-{
-    // Snapshot the live transports first (conn->mutex), then cork
-    // them with no client lock held — frameOut ranks above
-    // clientConn, and cork never blocks on the kernel. The snapshot
-    // goes on the cork stack so the matching uncork releases exactly
-    // one cork per connection corked here, even if a reconnect swaps
-    // conn->fc in between.
-    std::vector<std::shared_ptr<FramedConnection>> fcs;
-    fcs.reserve(conns.size());
-    for (auto &conn : conns) {
-        MutexLock guard(conn->mutex);
-        if (conn->fc && !conn->fc->isDead())
-            fcs.push_back(conn->fc);
-    }
-    for (auto &fc : fcs)
-        fc->cork();
-    MutexLock guard(corkMutex);
-    corkStack.push_back(std::move(fcs));
-}
-
-void
-RpcClient::uncorkWrites()
-{
-    std::vector<std::shared_ptr<FramedConnection>> fcs;
-    {
-        MutexLock guard(corkMutex);
-        if (corkStack.empty())
-            return; // Unmatched uncork: tolerate.
-        fcs = std::move(corkStack.back());
-        corkStack.pop_back();
-    }
-    for (auto &fc : fcs)
-        fc->uncork();
-}
-
 bool
 RpcClient::isHealthy() const
 {
@@ -298,6 +261,10 @@ RpcClient::completionMain(size_t index)
 
     while (!stopping.load(std::memory_order_acquire)) {
         auto events = shard.poller.wait(timeout_ms);
+        // One drain round: replies and legs that completion callbacks
+        // send (a mid-tier's merged response, a retry) leave together,
+        // one flush per connection.
+        ScopedWriteBatch round;
         if (options.defaultDeadlineNs > 0)
             sweepExpired(shard);
         for (const PollEvent &event : events) {

@@ -9,7 +9,9 @@
  * by request id (one shared connection per destination, per the
  * paper's Router). Dead connections fail their in-flight calls with
  * UNAVAILABLE and are re-dialed lazily, which is what Router's
- * replication pools route around.
+ * replication pools route around. Each completion round (one
+ * Poller::wait) runs inside one write batch (net/frame.h), so replies
+ * and legs that completion callbacks send leave together.
  */
 
 #ifndef MUSUITE_RPC_CLIENT_H
@@ -101,14 +103,6 @@ class RpcClient : public Channel
      */
     void killConnections();
 
-    /**
-     * Write-combining over every live connection: requests issued
-     * between cork and uncork flush together at uncork, one
-     * scatter-gather sendmsg per connection (see Channel).
-     */
-    void corkWrites() override;
-    void uncorkWrites() override;
-
   protected:
     void transportCall(uint32_t method, std::string body,
                        Callback callback) override;
@@ -133,17 +127,6 @@ class RpcClient : public Channel
     std::vector<std::unique_ptr<CompletionShard>> shards;
     std::vector<std::unique_ptr<ClientConn>> conns;
     std::vector<ScopedThread> threads;
-
-    /**
-     * Connections corked by corkWrites(), a vector per outstanding
-     * cork. uncorkWrites() pops one entry and uncorks it; concurrent
-     * batches may pop each other's entries, which balances per
-     * connection because the stack holds exactly the multiset of
-     * corked connections.
-     */
-    Mutex corkMutex{LockRank::clientConn, "rpc.client.cork"};
-    std::vector<std::vector<std::shared_ptr<FramedConnection>>>
-        corkStack GUARDED_BY(corkMutex);
 
     std::atomic<uint64_t> nextRequestId{1};
     std::atomic<size_t> nextConn{0};

@@ -21,28 +21,6 @@ namespace rpc {
 
 namespace {
 
-/**
- * Write-combining context for response frames. While a drain loop
- * (worker batch or inline poller event) is executing handlers, the
- * thread's active batch collects every response frame produced
- * synchronously; the drain flushes them afterwards grouped by
- * connection — one cork/uncork (ideally one sendmsg) per connection
- * per drain instead of one per response. Responses completed later
- * from other threads (async handlers) miss the batch and flush
- * directly, exactly as before.
- */
-struct ResponseBatch
-{
-    struct Entry
-    {
-        std::shared_ptr<FramedConnection> fc;
-        std::string frame;
-    };
-    std::vector<Entry> entries;
-};
-
-thread_local ResponseBatch *activeResponseBatch = nullptr;
-
 /** Poller-thread dispatch batch: frames parsed from one readable
  *  event hand their calls to the worker queue in one pushAll. */
 thread_local std::vector<ServerCallPtr> *pendingDispatch = nullptr;
@@ -54,28 +32,6 @@ constexpr size_t maxDispatchBatch = 64;
 /** Cap on tasks a worker drains per round: bounds how long the first
  *  response of a batch waits behind the handlers after it. */
 constexpr size_t maxWorkerDrain = 32;
-
-void
-flushResponseBatch(ResponseBatch &batch)
-{
-    // Group by connection (batches are small; quadratic scan beats a
-    // map here): cork once, queue every frame, flush in one uncork.
-    for (size_t i = 0; i < batch.entries.size(); ++i) {
-        auto fc = std::move(batch.entries[i].fc);
-        if (!fc)
-            continue;
-        fc->cork();
-        fc->sendFrameOwned(std::move(batch.entries[i].frame));
-        for (size_t j = i + 1; j < batch.entries.size(); ++j) {
-            if (batch.entries[j].fc == fc) {
-                fc->sendFrameOwned(std::move(batch.entries[j].frame));
-                batch.entries[j].fc = nullptr;
-            }
-        }
-        fc->uncork();
-    }
-    batch.entries.clear();
-}
 
 } // namespace
 
@@ -304,26 +260,24 @@ Server::pollerMain(size_t index)
             if (event.writable)
                 conn->fc->onWritable();
             if (event.readable) {
-                // Batch contexts for this event: frames parsed in one
+                // One drain round per event: frames parsed in one
                 // onReadable hand off to the workers in one pushAll
-                // (one futex round), and inline-mode responses for
-                // this connection coalesce into one flush.
-                ResponseBatch responses;
-                std::vector<ServerCallPtr> dispatch;
-                activeResponseBatch = &responses;
-                pendingDispatch = &dispatch;
-                const bool alive = conn->fc->onReadable(
-                    [this, conn](std::string_view frame) {
-                        handleFrame(conn, frame);
-                    });
-                pendingDispatch = nullptr;
-                // Dispatch before dropping the response batch: any
-                // queue-overflow rejections it produces coalesce into
-                // this event's flush.
-                if (!dispatch.empty())
-                    dispatchBatch(std::move(dispatch));
-                activeResponseBatch = nullptr;
-                flushResponseBatch(responses);
+                // (one futex round), and every frame this thread sends
+                // meanwhile — inline-mode responses and legs, shed
+                // replies — leaves in one flush per connection.
+                bool alive;
+                {
+                    ScopedWriteBatch round;
+                    std::vector<ServerCallPtr> dispatch;
+                    pendingDispatch = &dispatch;
+                    alive = conn->fc->onReadable(
+                        [this, conn](std::string_view frame) {
+                            handleFrame(conn, frame);
+                        });
+                    pendingDispatch = nullptr;
+                    if (!dispatch.empty())
+                        dispatchBatch(std::move(dispatch));
+                }
                 if (!alive)
                     shard.drop(conn);
             }
@@ -339,8 +293,9 @@ Server::workerMain(size_t)
         auto tasks = taskQueue.popMany(maxWorkerDrain);
         if (tasks.empty())
             return; // Queue closed and drained.
-        ResponseBatch responses;
-        activeResponseBatch = &responses;
+        // One drain round: responses and fan-out legs of every task
+        // here leave together, one flush per connection.
+        ScopedWriteBatch round;
         for (auto &task : tasks) {
             assertOnWorkerThread();
             // Tier 3: a request that outlived its budget while queued
@@ -357,8 +312,6 @@ Server::workerMain(size_t)
             }
             execute(task);
         }
-        activeResponseBatch = nullptr;
-        flushResponseBatch(responses);
     }
 }
 
@@ -397,16 +350,7 @@ Server::handleFrame(Conn *conn, std::string_view frame)
             response_header.budgetNs = retry_after_ns > 0
                                            ? retry_after_ns
                                            : default_retry_after;
-        std::string frame = encodeFrame(response_header, body);
-        // Inside a drain loop, defer to the thread's batch so all
-        // responses sharing a connection leave in one flush; async
-        // completions (no batch on their thread) flush directly.
-        if (ResponseBatch *batch = activeResponseBatch) {
-            batch->entries.push_back(
-                {std::move(fc), std::move(frame)});
-            return;
-        }
-        fc->sendFrameOwned(std::move(frame));
+        fc->sendFrameOwned(encodeFrame(response_header, body));
     };
 
     // Tier 1: admission, decided before the body is even copied. The
@@ -424,11 +368,7 @@ Server::handleFrame(Conn *conn, std::string_view frame)
         reject.method = method;
         reject.requestId = request_id;
         reject.budgetNs = hint;
-        std::string frame = encodeFrame(reject, "");
-        if (ResponseBatch *batch = activeResponseBatch)
-            batch->entries.push_back({conn->fc, std::move(frame)});
-        else
-            conn->fc->sendFrameOwned(std::move(frame));
+        conn->fc->sendFrameOwned(encodeFrame(reject, ""));
         return;
     }
 

@@ -17,6 +17,13 @@
  * thread, which is how mid-tiers respond from leaf-response completion
  * threads after fan-out merges.
  *
+ * WRITE BATCHING: each drain round — one worker popMany round, one
+ * readable event on a poller — runs inside one thread-scoped write
+ * batch (net/frame.h ScopedWriteBatch). Every frame the round sends,
+ * responses and the handlers' fan-out legs alike, leaves when the
+ * round ends, one flush per connection. Handlers must not block while
+ * the round holds frames; Channel::callSync flushes them first.
+ *
  * OVERLOAD CONTROL (rpc/overload.h): three shedding tiers keep the
  * server's goodput near peak once offered load passes saturation.
  *  1. Admission — an optional AdmissionController is consulted on the

@@ -381,15 +381,6 @@ fanoutCall(uint32_t method, std::vector<FanoutRequest> requests,
         }
     }
 
-    // Cork every distinct channel for the duration of the issue loop:
-    // all legs sharing a transport connection leave in one
-    // scatter-gather syscall when the batch closes. Safe even when a
-    // leg completes inline — the merge runs after uncork at the
-    // latest, and responses cannot precede the flushed requests.
-    rpc::ScopedWriteBatch batch;
-    for (const FanoutRequest &request : requests)
-        batch.add(request.channel);
-
     for (size_t i = 0; i < requests.size(); ++i) {
         FanoutRequest &request = requests[i];
         if (!skip.empty() && skip[i])

@@ -4,7 +4,7 @@
  * round-trips, non-blocking IO status codes, the epoll poller
  * (readiness, wakeups, write-interest), and length-prefixed framing
  * (partial arrival, batched frames, oversized-frame rejection,
- * concurrent senders).
+ * concurrent senders), and the thread-scoped write batch.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,8 @@
 #include <atomic>
 #include <cstring>
 #include <fcntl.h>
+#include <map>
+#include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
@@ -21,6 +23,7 @@
 #include "net/frame.h"
 #include "net/poller.h"
 #include "net/socket.h"
+#include "ostrace/sync.h"
 #include "ostrace/syscalls.h"
 
 namespace musuite {
@@ -208,9 +211,9 @@ class FrameTest : public ::testing::Test
         pair = std::make_unique<SocketPair>();
         ASSERT_TRUE(pair->client.valid());
         ASSERT_TRUE(pair->server.valid());
-        sender = std::make_unique<FramedConnection>(
+        sender = std::make_shared<FramedConnection>(
             std::move(pair->client), nullptr, nullptr);
-        receiver = std::make_unique<FramedConnection>(
+        receiver = std::make_shared<FramedConnection>(
             std::move(pair->server), nullptr, nullptr);
     }
 
@@ -231,8 +234,10 @@ class FrameTest : public ::testing::Test
     }
 
     std::unique_ptr<SocketPair> pair;
-    std::unique_ptr<FramedConnection> sender;
-    std::unique_ptr<FramedConnection> receiver;
+    // Shared ownership, as in the servers and clients: only a
+    // shared_ptr-owned connection can be held by a write batch.
+    std::shared_ptr<FramedConnection> sender;
+    std::shared_ptr<FramedConnection> receiver;
 };
 
 TEST_F(FrameTest, SingleFrameRoundTrip)
@@ -459,39 +464,43 @@ TEST_F(FrameTest, OversizedSendRejectedConnectionSurvives)
     EXPECT_EQ(frames[0], "still alive");
 }
 
-TEST_F(FrameTest, CorkedFramesFlushAsOneSyscall)
+TEST_F(FrameTest, BatchedFramesFlushAsOneSyscall)
 {
-    // Write-combining: frames queued under cork leave in a single
-    // scatter-gather sendmsg at uncork.
-    sender->cork();
-    const auto before = snapshotSyscalls();
-    for (int i = 0; i < 8; ++i)
-        ASSERT_TRUE(sender->sendFrame("corked-" + std::to_string(i)));
-    const auto mid = snapshotSyscalls();
-    EXPECT_EQ(diffSyscalls(before, mid)[size_t(Sys::Sendmsg)], 0u);
-
-    ASSERT_TRUE(sender->uncork());
+    // Write combining: frames held by the thread's write batch leave
+    // in a single scatter-gather sendmsg when the scope closes.
+    SyscallSnapshot before;
+    SyscallSnapshot mid;
+    {
+        ScopedWriteBatch batch;
+        before = snapshotSyscalls();
+        for (int i = 0; i < 8; ++i)
+            ASSERT_TRUE(sender->sendFrame("batched-" + std::to_string(i)));
+        mid = snapshotSyscalls();
+        EXPECT_EQ(diffSyscalls(before, mid)[size_t(Sys::Sendmsg)], 0u);
+        EXPECT_EQ(ScopedWriteBatch::heldFrames(), 8u);
+    }
     const auto after = snapshotSyscalls();
     EXPECT_EQ(diffSyscalls(mid, after)[size_t(Sys::Sendmsg)], 1u);
+    EXPECT_EQ(ScopedWriteBatch::heldFrames(), 0u);
 
     const auto frames = drain(8);
     ASSERT_EQ(frames.size(), 8u);
     for (int i = 0; i < 8; ++i)
-        EXPECT_EQ(frames[size_t(i)], "corked-" + std::to_string(i));
+        EXPECT_EQ(frames[size_t(i)], "batched-" + std::to_string(i));
 }
 
-TEST_F(FrameTest, UncorkedBurstCoalescesFrames)
+TEST_F(FrameTest, BatchedBurstCoalescesFrames)
 {
-    // Even without an explicit cork, a burst from one thread must not
-    // cost one syscall per frame: the flusher drains whatever has
-    // queued per sendv round. Upper-bound the syscalls loosely — the
-    // win asserted here is "fewer syscalls than frames".
+    // A burst from one thread must not cost one syscall per frame:
+    // the batch hands the whole burst to one flush, which drains up
+    // to maxFramesPerFlush frames per sendv round.
     constexpr int count = 64;
     const auto before = snapshotSyscalls();
-    sender->cork();
-    for (int i = 0; i < count; ++i)
-        ASSERT_TRUE(sender->sendFrame("burst-" + std::to_string(i)));
-    sender->uncork();
+    {
+        ScopedWriteBatch batch;
+        for (int i = 0; i < count; ++i)
+            ASSERT_TRUE(sender->sendFrame("burst-" + std::to_string(i)));
+    }
     const auto after = snapshotSyscalls();
     // 64 frames, 32 frames max per sendv round: two syscalls.
     EXPECT_LE(diffSyscalls(before, after)[size_t(Sys::Sendmsg)], 3u);
@@ -499,6 +508,174 @@ TEST_F(FrameTest, UncorkedBurstCoalescesFrames)
     const auto frames = drain(count);
     ASSERT_EQ(frames.size(), size_t(count));
 }
+
+TEST_F(FrameTest, NestedBatchFlushesAtOutermostScope)
+{
+    {
+        ScopedWriteBatch outer;
+        {
+            ScopedWriteBatch inner;
+            ASSERT_TRUE(sender->sendFrame("first"));
+        }
+        // Closing the inner scope flushed nothing.
+        EXPECT_EQ(ScopedWriteBatch::heldFrames(), 1u);
+        ASSERT_TRUE(sender->sendFrame("second"));
+    }
+    EXPECT_EQ(ScopedWriteBatch::heldFrames(), 0u);
+    const auto frames = drain(2);
+    ASSERT_EQ(frames.size(), 2u);
+    EXPECT_EQ(frames[0], "first");
+    EXPECT_EQ(frames[1], "second");
+}
+
+TEST_F(FrameTest, OtherThreadsFramesAreNotHeldBehindABatch)
+{
+    // The batch is per thread and never corks the connection: a frame
+    // another thread sends while this thread's batch holds frames for
+    // the same connection goes out at once.
+    {
+        ScopedWriteBatch batch;
+        ASSERT_TRUE(sender->sendFrame("held"));
+        {
+            ScopedThread other("other-sender", [&] {
+                EXPECT_TRUE(sender->sendFrame("direct"));
+            });
+        }
+        const auto early = drain(1);
+        ASSERT_EQ(early.size(), 1u);
+        EXPECT_EQ(early[0], "direct");
+        EXPECT_EQ(ScopedWriteBatch::heldFrames(), 1u);
+    }
+    const auto late = drain(1);
+    ASSERT_EQ(late.size(), 1u);
+    EXPECT_EQ(late[0], "held");
+}
+
+TEST(FrameBatchTest, FlushFailureHangsUpToTheReader)
+{
+    // A send that fails when the batch flushes shuts the socket down
+    // but leaves the fd registered, so the reader thread sees the
+    // hangup and runs the owner's connection-lost path (the client
+    // fails its pending calls there).
+    SocketPair pair;
+    ASSERT_TRUE(pair.client.valid());
+    ASSERT_TRUE(pair.server.valid());
+    Poller poller;
+    char cookie = 0;
+    auto conn = std::make_shared<FramedConnection>(std::move(pair.client),
+                                                   &poller, &cookie);
+    conn->registerWithPoller();
+    {
+        ScopedWriteBatch batch;
+        ASSERT_TRUE(conn->sendFrame("never sent"));
+        // Writes now fail with EPIPE: the flush at scope close errors.
+        ASSERT_EQ(::shutdown(conn->fd(), SHUT_WR), 0);
+    }
+    bool hung_up = false;
+    for (int i = 0; i < 100 && !hung_up; ++i) {
+        for (const PollEvent &event : poller.wait(10)) {
+            if (event.data == &cookie && (event.readable || event.error))
+                hung_up = true;
+        }
+    }
+    ASSERT_TRUE(hung_up);
+    EXPECT_FALSE(conn->onReadable([](std::string_view) {}));
+    EXPECT_TRUE(conn->isDead());
+    EXPECT_FALSE(conn->sendFrame("after death"));
+}
+
+TEST(FrameBatchTest, ConcurrentBatchesOnSharedConnections)
+{
+    // Four threads, each with its own batch per round, send on the
+    // same two connections. Every frame arrives once, and each
+    // thread's frames keep their order on each connection.
+    constexpr int threads = 4;
+    constexpr int rounds = 50;
+    constexpr int perRound = 3;
+    std::vector<std::unique_ptr<SocketPair>> pairs;
+    std::vector<std::shared_ptr<FramedConnection>> senders;
+    std::vector<std::shared_ptr<FramedConnection>> receivers;
+    for (int c = 0; c < 2; ++c) {
+        pairs.push_back(std::make_unique<SocketPair>());
+        ASSERT_TRUE(pairs.back()->client.valid());
+        ASSERT_TRUE(pairs.back()->server.valid());
+        senders.push_back(std::make_shared<FramedConnection>(
+            std::move(pairs.back()->client), nullptr, nullptr));
+        receivers.push_back(std::make_shared<FramedConnection>(
+            std::move(pairs.back()->server), nullptr, nullptr));
+    }
+    {
+        std::vector<ScopedThread> workers;
+        for (int t = 0; t < threads; ++t) {
+            workers.emplace_back("batch-" + std::to_string(t), [&, t] {
+                int seq = 0;
+                for (int r = 0; r < rounds; ++r) {
+                    ScopedWriteBatch batch;
+                    for (int i = 0; i < perRound; ++i, ++seq) {
+                        for (auto &sender : senders) {
+                            EXPECT_TRUE(sender->sendFrame(
+                                std::to_string(t) + ":" +
+                                std::to_string(seq)));
+                        }
+                    }
+                }
+            });
+        }
+    }
+    const size_t expected = size_t(threads) * rounds * perRound;
+    for (auto &receiver : receivers) {
+        std::vector<std::string> frames;
+        const int64_t deadline = nowNanos() + 5'000'000'000;
+        while (frames.size() < expected && nowNanos() < deadline) {
+            receiver->onReadable([&](std::string_view frame) {
+                frames.emplace_back(frame);
+            });
+            if (frames.size() < expected)
+                sleepForNanos(500'000);
+        }
+        ASSERT_EQ(frames.size(), expected);
+        std::map<int, int> next_seq;
+        for (const std::string &frame : frames) {
+            const size_t colon = frame.find(':');
+            const int t = std::stoi(frame.substr(0, colon));
+            const int seq = std::stoi(frame.substr(colon + 1));
+            EXPECT_EQ(seq, next_seq[t]) << "thread " << t;
+            next_seq[t] = seq + 1;
+        }
+    }
+}
+
+#if defined(MUSUITE_DEBUG_SYNC) && MUSUITE_DEBUG_SYNC
+using FrameBatchDeathTest = FrameTest;
+
+TEST_F(FrameBatchDeathTest, BlockingWithFramesHeldAborts)
+{
+    // A thread that blocks while its batch holds frames would stall
+    // them, or deadlock waiting on an answer to one of them.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_DEATH(
+        {
+            ScopedWriteBatch batch;
+            sender->sendFrame("held");
+            CountdownLatch done(0);
+            done.wait();
+        },
+        "CountdownLatch::wait while the thread's write batch holds "
+        "1 frame");
+    EXPECT_DEATH(
+        {
+            ScopedWriteBatch batch;
+            sender->sendFrame("held");
+            sender->sendFrame("held");
+            TracedMutex mutex;
+            TracedCondVar ready;
+            std::unique_lock<TracedMutex> lock(mutex);
+            ready.wait(lock);
+        },
+        "TracedCondVar::wait while the thread's write batch holds "
+        "2 frame");
+}
+#endif
 
 } // namespace
 } // namespace musuite

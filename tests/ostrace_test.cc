@@ -64,6 +64,33 @@ TEST(OsTraceTest, MultiThreadedRecording)
               uint64_t(threads) * per_thread);
 }
 
+TEST(OsTraceTest, ExitedThreadsLeaveTheRegistryButKeepTheirSamples)
+{
+    // Each recording thread registers a local histogram set; an exited
+    // thread's set must be retired (folded into the retained samples),
+    // or a process that churns threads grows without bound.
+    osTrace().reset();
+    recordOs(OsCategory::Sched, 1); // Registers this thread.
+    const size_t live_before = osTrace().registeredThreads();
+    constexpr int waves = 16;
+    constexpr int per_wave = 4;
+    constexpr int per_thread = 10;
+    for (int wave = 0; wave < waves; ++wave) {
+        std::vector<ScopedThread> workers;
+        for (int t = 0; t < per_wave; ++t) {
+            workers.emplace_back("churn", [&] {
+                for (int i = 0; i < per_thread; ++i)
+                    recordOs(OsCategory::Sched, 100 + i);
+            });
+        }
+        workers.clear(); // Joins.
+        EXPECT_EQ(osTrace().registeredThreads(), live_before);
+    }
+    auto histograms = osTrace().collect();
+    EXPECT_EQ(histograms[size_t(OsCategory::Sched)].count(),
+              uint64_t(waves) * per_wave * per_thread + 1);
+}
+
 TEST(OsTraceTest, DisableStopsRecording)
 {
     osTrace().reset();

@@ -3,12 +3,15 @@
  * Integration and unit tests for the murpc layer: framing, header
  * codec, echo round-trips over real loopback TCP, asynchronous
  * completion, dispatch vs inline execution, multi-client concurrency,
- * error propagation, and connection-failure handling.
+ * error propagation, connection-failure handling, and the per-round
+ * write batch on servers and clients.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <sys/socket.h>
 #include <thread>
 #include <vector>
 
@@ -20,6 +23,7 @@
 #include "rpc/client.h"
 #include "rpc/local_channel.h"
 #include "rpc/message.h"
+#include "rpc/overload.h"
 #include "rpc/server.h"
 
 namespace musuite {
@@ -367,7 +371,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST_F(RpcTest, PipelinedBatchSyscallBudget)
 {
-    // Locks in the coalescing win: a corked batch of pipelined calls
+    // Locks in the coalescing win: a batched burst of pipelined calls
     // must cost a small constant number of sendmsg syscalls, not one
     // per request per side (the pre-batching cost: 2/request, so 32
     // for this batch). Inline mode keeps the response path
@@ -384,7 +388,7 @@ TEST_F(RpcTest, PipelinedBatchSyscallBudget)
     CountdownLatch latch(depth);
     const auto before = snapshotSyscalls();
     {
-        ScopedWriteBatch batch(&client);
+        ScopedWriteBatch batch;
         for (int i = 0; i < depth; ++i) {
             client.call(kEcho, body,
                         [&](const Status &status, std::string_view) {
@@ -460,6 +464,259 @@ TEST_F(RpcTest, OversizedPayloadFailsCallNotProcess)
     auto ok = client.callSync(kEcho, "after oversize");
     ASSERT_TRUE(ok.isOk()) << ok.status().toString();
     EXPECT_EQ(ok.value(), "after oversize");
+}
+
+// ---- per-round write batch ------------------------------------------
+
+/** Poll `done` for up to five seconds. */
+bool
+waitUntil(const std::function<bool()> &done)
+{
+    const int64_t deadline = nowNanos() + 5'000'000'000;
+    while (!done()) {
+        if (nowNanos() >= deadline)
+            return false;
+        sleepForNanos(1'000'000);
+    }
+    return true;
+}
+
+/** Admits everything and counts what it admitted. */
+class CountingAdmission : public AdmissionController
+{
+  public:
+    bool
+    admit(size_t) override
+    {
+        admitted.fetch_add(1);
+        return true;
+    }
+
+    std::atomic<int> admitted{0};
+};
+
+/** Holds calls unanswered until the test answers them. */
+class HeldCalls
+{
+  public:
+    void
+    hold(ServerCallPtr call)
+    {
+        MutexLock lock(mutex);
+        calls.push_back(std::move(call));
+        count.fetch_add(1);
+    }
+
+    void
+    answerAll()
+    {
+        std::vector<ServerCallPtr> taken;
+        {
+            MutexLock lock(mutex);
+            taken.swap(calls);
+        }
+        for (const ServerCallPtr &call : taken)
+            call->respondOk(call->body());
+    }
+
+    std::atomic<int> count{0};
+
+  private:
+    Mutex mutex;
+    std::vector<ServerCallPtr> calls GUARDED_BY(mutex);
+};
+
+TEST(RoundBatchTest, WorkerRoundSendsLegsToOneLeafInOneSendmsg)
+{
+    // Requests drained in one worker round that each call the same
+    // leaf share the round's batch: their legs reach the leaf in one
+    // sendmsg, not one per request.
+    constexpr uint32_t kGate = 10;
+    constexpr uint32_t kHold = 11;
+    constexpr uint32_t kForward = 12;
+    constexpr int forwards = 8;
+
+    HeldCalls leaf_calls;
+    Server leaf;
+    leaf.registerHandler(kEcho, [&](ServerCallPtr call) {
+        leaf_calls.hold(std::move(call));
+    });
+    leaf.start();
+    RpcClient to_leaf(leaf.port());
+
+    auto admission = std::make_shared<CountingAdmission>();
+    ServerOptions mid_options;
+    mid_options.workerThreads = 1;
+    mid_options.admission = admission;
+    HeldCalls mid_calls;
+    CountdownLatch gate_entered(1);
+    CountdownLatch gate_open(1);
+    Server mid(mid_options);
+    mid.registerHandler(kGate, [&](ServerCallPtr call) {
+        // Occupies the only worker while the forwards queue up.
+        gate_entered.countDown();
+        gate_open.wait();
+        mid_calls.hold(std::move(call));
+    });
+    mid.registerHandler(kHold, [&](ServerCallPtr call) {
+        mid_calls.hold(std::move(call));
+    });
+    mid.registerHandler(kForward, [&](ServerCallPtr call) {
+        to_leaf.call(kEcho, call->body(),
+                     [call](const Status &status, std::string_view body) {
+                         call->respond(status.code(), body);
+                     });
+    });
+    mid.start();
+
+    RpcClient client(mid.port());
+    std::atomic<int> answered{0};
+    const auto count_answer = [&](const Status &status, std::string_view) {
+        EXPECT_TRUE(status.isOk()) << status.toString();
+        answered.fetch_add(1);
+    };
+    client.call(kGate, "gate", count_answer);
+    gate_entered.wait();
+    {
+        ScopedWriteBatch burst;
+        for (int i = 0; i < forwards; ++i)
+            client.call(kForward, "leg-" + std::to_string(i), count_answer);
+    }
+    // EXPECT, not ASSERT, until the gate opens: returning with the
+    // worker parked in the gate would hang the server's shutdown.
+    EXPECT_TRUE(waitUntil(
+        [&] { return admission->admitted == 1 + forwards; }));
+    // The poller handles events in order and queues each event's
+    // requests before the next: once this later request is admitted,
+    // every forward is queued behind the gate.
+    client.call(kHold, "sentinel", count_answer);
+    EXPECT_TRUE(waitUntil(
+        [&] { return admission->admitted == 2 + forwards; }));
+
+    const auto before = snapshotSyscalls();
+    gate_open.countDown();
+    ASSERT_TRUE(waitUntil([&] { return leaf_calls.count == forwards; }));
+    const auto after = snapshotSyscalls();
+    EXPECT_EQ(diffSyscalls(before, after)[size_t(Sys::Sendmsg)], 1u)
+        << "legs of one worker round left in separate syscalls";
+
+    leaf_calls.answerAll();
+    ASSERT_TRUE(waitUntil([&] { return answered == forwards; }));
+    mid_calls.answerAll();
+    ASSERT_TRUE(waitUntil([&] { return answered == forwards + 2; }));
+}
+
+TEST(RoundBatchTest, CallSyncInsideARoundDoesNotDeadlock)
+{
+    // callSync from a handler sends its request out of the thread's
+    // batch before blocking: under both threading models the mid-tier
+    // answers instead of waiting on a request it still holds.
+    for (const bool dispatch : {true, false}) {
+        SCOPED_TRACE(dispatch ? "worker" : "inline poller");
+        Server leaf;
+        leaf.registerHandler(kEcho, [](ServerCallPtr call) {
+            call->respondOk(call->body());
+        });
+        leaf.start();
+        RpcClient to_leaf(leaf.port());
+
+        ServerOptions mid_options;
+        mid_options.dispatchToWorkers = dispatch;
+        mid_options.workerThreads = 1;
+        Server mid(mid_options);
+        mid.registerHandler(kEcho, [&](ServerCallPtr call) {
+            auto result = to_leaf.callSync(kEcho, call->body());
+            if (result.isOk())
+                call->respondOk(result.value());
+            else
+                call->respond(result.status().code(), "");
+        });
+        mid.start();
+
+        RpcClient client(mid.port());
+        constexpr int requests = 4;
+        std::atomic<int> ok{0};
+        {
+            // One burst, so several handlers share a round.
+            ScopedWriteBatch burst;
+            for (int i = 0; i < requests; ++i) {
+                client.call(kEcho, "sync-" + std::to_string(i),
+                            [&](const Status &status, std::string_view) {
+                                if (status.isOk())
+                                    ok.fetch_add(1);
+                            });
+            }
+        }
+        EXPECT_TRUE(waitUntil([&] { return ok == requests; }));
+    }
+}
+
+TEST_F(RpcTest, ConnectionKilledWhileRoundHoldsFramesFailsCallsOnce)
+{
+    startServer();
+    RpcClient client(server->port());
+    ASSERT_TRUE(client.callSync(kEcho, "warm").isOk());
+
+    constexpr int calls = 6;
+    std::atomic<int> fired{0};
+    std::atomic<int> unavailable{0};
+    {
+        ScopedWriteBatch round;
+        for (int i = 0; i < calls; ++i) {
+            client.call(kEcho, "held",
+                        [&](const Status &status, std::string_view) {
+                            fired.fetch_add(1);
+                            if (status.code() == StatusCode::Unavailable)
+                                unavailable.fetch_add(1);
+                        });
+        }
+        EXPECT_EQ(ScopedWriteBatch::heldFrames(), size_t(calls));
+        client.killConnections();
+    }
+    ASSERT_TRUE(waitUntil([&] { return fired == calls; }));
+    sleepForNanos(50'000'000); // Room for a second completion to show.
+    EXPECT_EQ(fired.load(), calls);
+    EXPECT_EQ(unavailable.load(), calls);
+    EXPECT_TRUE(client.callSync(kEcho, "after").isOk());
+}
+
+TEST(RoundBatchTest, PeerResetWhileRoundHoldsFramesFailsCallsOnce)
+{
+    // The peer resets the connection while the calls' frames are
+    // still held. Whichever notices first — the completion thread
+    // reading the reset, or the flush failing at scope close — the
+    // pending table fails every call exactly once.
+    TcpListener listener;
+    RpcClient client(listener.port());
+    TcpSocket peer;
+    ASSERT_TRUE(waitUntil([&] {
+        peer = listener.accept();
+        return peer.valid();
+    }));
+
+    constexpr int calls = 6;
+    std::atomic<int> fired{0};
+    std::atomic<int> unavailable{0};
+    {
+        ScopedWriteBatch round;
+        for (int i = 0; i < calls; ++i) {
+            client.call(kEcho, "held",
+                        [&](const Status &status, std::string_view) {
+                            fired.fetch_add(1);
+                            if (status.code() == StatusCode::Unavailable)
+                                unavailable.fetch_add(1);
+                        });
+        }
+        const linger reset{1, 0};
+        ASSERT_EQ(::setsockopt(peer.fd(), SOL_SOCKET, SO_LINGER, &reset,
+                               sizeof(reset)),
+                  0);
+        peer.close();
+    }
+    ASSERT_TRUE(waitUntil([&] { return fired == calls; }));
+    sleepForNanos(50'000'000);
+    EXPECT_EQ(fired.load(), calls);
+    EXPECT_EQ(unavailable.load(), calls);
 }
 
 } // namespace

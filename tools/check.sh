@@ -8,6 +8,8 @@
 #      + bench/overload_storm smoke -> BENCH_overload.json (goodput)
 #      + bench/dag_storm smoke -> BENCH_dag.json (deep-DAG goodput)
 #      + bench/chaos_storm smoke -> BENCH_chaos.json (gray failures)
+#      + svcbench correctness smoke (both service workloads, traced
+#        and untraced; answers checked)
 #      + tools/mulint over src/ (static lock-rank, raw-sync, thread-role,
 #        unchecked-status, rank-table, guarded-by, plus the
 #        interprocedural clock-seam and counter-registry rules and the
@@ -146,6 +148,20 @@ if cmake --build build-check-werror --target chaos_storm -j "$jobs" \
 else
     echo "BENCH SMOKE FAILED"
     failures+=("bench-smoke: chaos_storm")
+fi
+
+# ---- stage 1c4: svcbench correctness smoke -------------------------------
+# Both service-benchmark workloads (Router YCSB-A, Set Algebra) over
+# loopback TCP, untraced and traced, two one-second segments each.
+# run.py builds svcbench (Release, under .bench_build/) and exits
+# non-zero if any run fails or any reply fails its answer checks.
+# ~1 min warm.
+banner "svcbench smoke"
+if python3 svcbench/run.py --workload all --seconds 2; then
+    :
+else
+    echo "SVCBENCH SMOKE FAILED"
+    failures+=("svcbench-smoke")
 fi
 
 # ---- stage 1d: mulint (static invariant lint) ----------------------------
