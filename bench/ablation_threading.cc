@@ -47,14 +47,8 @@ main(int argc, char **argv)
     printBanner(std::cout,
                 "Ablation (paper §VII): threading-model trade-offs");
 
-    ServiceKind kind = ServiceKind::Router;
-    const std::string service = flags.str("service", "router");
-    if (service == "hdsearch")
-        kind = ServiceKind::HdSearch;
-    else if (service == "setalgebra")
-        kind = ServiceKind::SetAlgebra;
-    else if (service == "recommend")
-        kind = ServiceKind::Recommend;
+    const ServiceKind kind =
+        bench::serviceFlag(flags, ServiceKind::Router);
 
     const std::vector<Variant> variants = {
         {"block+dispatch w=1", 1, 1, true, true},

@@ -104,6 +104,30 @@ realModeOptions(const Flags &flags)
     return options;
 }
 
+/**
+ * The service named by --service=hdsearch|router|setalgebra|recommend
+ * (`fallback` when absent). An unknown name exits with status 2: a
+ * typo must not silently benchmark the default service.
+ */
+inline ServiceKind
+serviceFlag(const Flags &flags, ServiceKind fallback)
+{
+    if (!flags.flag("service"))
+        return fallback;
+    const std::string name = flags.str("service", "");
+    if (name == "hdsearch")
+        return ServiceKind::HdSearch;
+    if (name == "router")
+        return ServiceKind::Router;
+    if (name == "setalgebra")
+        return ServiceKind::SetAlgebra;
+    if (name == "recommend")
+        return ServiceKind::Recommend;
+    std::cerr << "unknown --service=" << name
+              << " (expected hdsearch|router|setalgebra|recommend)\n";
+    std::exit(2);
+}
+
 /** Real-mode loads: the paper's 100/1K/10K scaled to one core. */
 inline std::vector<double>
 realLoads(const Flags &flags)

@@ -37,7 +37,7 @@ runPhase(ServiceDeployment &deployment, rpc::RpcClient &client,
          double qps, int64_t duration_ns, uint64_t seed)
 {
     OpenLoopLoadGen::Options options;
-    options.qps = qps;
+    options.shape = loadgen::LoadShape::constant(qps);
     options.durationNs = duration_ns;
     options.seed = seed;
     OpenLoopLoadGen generator(options);
@@ -69,14 +69,8 @@ main(int argc, char **argv)
     printBanner(std::cout,
                 "Fault storm: graceful degradation under leaf faults");
 
-    ServiceKind kind = ServiceKind::HdSearch;
-    const std::string service = flags.str("service", "hdsearch");
-    if (service == "router")
-        kind = ServiceKind::Router;
-    else if (service == "setalgebra")
-        kind = ServiceKind::SetAlgebra;
-    else if (service == "recommend")
-        kind = ServiceKind::Recommend;
+    const ServiceKind kind =
+        bench::serviceFlag(flags, ServiceKind::HdSearch);
 
     DeploymentOptions options = bench::realModeOptions(flags);
     options.midTierFanout.quorumFraction = flags.num("quorum", 0.75);

@@ -5,10 +5,11 @@
  * news events, and launch surges; "supporting wide-ranging loads aids
  * rapid OLDI service scale-up").
  *
- * Drives a real deployment through a time-varying load profile —
+ * Drives a real deployment through one flash-crowd LoadShape —
  * baseline → Nx surge → recovery — and reports the per-phase latency
- * distributions, showing how the blocking/dispatch mid-tier absorbs
- * (or queues under) a surge and how quickly tails recover.
+ * distributions (requests bucketed by scheduled send time), showing
+ * how the blocking/dispatch mid-tier absorbs (or queues under) a
+ * surge and how quickly tails recover.
  *
  * Flags: --service=router|hdsearch|setalgebra|recommend
  *        --baseline=QPS --spike-factor=N --phase-ms=N
@@ -17,7 +18,7 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "loadgen/profile.h"
+#include "loadgen/loadgen.h"
 #include "rpc/client.h"
 #include "stats/table.h"
 
@@ -32,14 +33,8 @@ main(int argc, char **argv)
                 "Flash crowd: latency through a load surge (§VI-B "
                 "motivation)");
 
-    ServiceKind kind = ServiceKind::Router;
-    const std::string service = flags.str("service", "router");
-    if (service == "hdsearch")
-        kind = ServiceKind::HdSearch;
-    else if (service == "setalgebra")
-        kind = ServiceKind::SetAlgebra;
-    else if (service == "recommend")
-        kind = ServiceKind::Recommend;
+    const ServiceKind kind =
+        bench::serviceFlag(flags, ServiceKind::Router);
 
     auto deployment =
         ServiceDeployment::create(kind, bench::realModeOptions(flags));
@@ -51,17 +46,20 @@ main(int argc, char **argv)
     const int64_t phase_ns =
         int64_t(flags.num("phase-ms", 800)) * 1'000'000;
 
-    const auto profile = LoadProfile::flashCrowd(
-        baseline, factor, 3 * phase_ns, phase_ns, phase_ns);
-    ProfiledLoadGen::Options options;
+    // One schedule across all three phases, so the crowd's backlog
+    // carries into (and is charged to) the recovery phase.
+    OpenLoopLoadGen::Options options;
+    options.shape = loadgen::LoadShape::flashCrowd(
+        baseline, baseline * factor, phase_ns, phase_ns);
+    options.durationNs = 3 * phase_ns;
     options.seed = 7;
-    options.phaseBounds = {0, phase_ns, 2 * phase_ns};
-    options.phaseNames = {"baseline", "flash-crowd", "recovery"};
-    ProfiledLoadGen generator(profile, options);
+    OpenLoopLoadGen generator(options);
+    const char *const phase_names[] = {"baseline", "flash-crowd",
+                                       "recovery"};
 
     const uint32_t method = deployment->frontEndMethod();
-    const auto phases = generator.run(
-        [&](uint64_t, std::function<void(bool)> done) {
+    const std::vector<LoadResult> phases = generator.runPhases(
+        [&](uint64_t, std::function<void(RequestOutcome)> done) {
             client.call(method,
                         deployment->sampleRequestBody(request_rng),
                         [&, done = std::move(done)](
@@ -69,21 +67,23 @@ main(int argc, char **argv)
                             done(status.isOk() &&
                                  deployment->validateResponse(p));
                         });
-        });
+        },
+        {0, phase_ns, 2 * phase_ns});
 
     std::cout << "\n" << serviceName(kind) << ": " << baseline
               << " QPS baseline, " << factor << "x surge\n";
     Table table({"phase", "offered_qps", "completed", "errors", "p50",
                  "p99", "max"});
-    for (const PhaseResult &phase : phases) {
+    for (size_t i = 0; i < phases.size(); ++i) {
+        const LoadResult &phase = phases[i];
         table.row()
-            .cell(phase.name)
-            .cell(phase.load.offeredQps, 0)
-            .cell(phase.load.completed)
-            .cell(phase.load.errors)
-            .nanos(phase.load.latency.valueAtQuantile(0.5))
-            .nanos(phase.load.latency.valueAtQuantile(0.99))
-            .nanos(phase.load.latency.maxValue());
+            .cell(phase_names[i])
+            .cell(phase.offeredQps, 0)
+            .cell(phase.completed)
+            .cell(phase.errors)
+            .nanos(phase.latency.valueAtQuantile(0.5))
+            .nanos(phase.latency.valueAtQuantile(0.99))
+            .nanos(phase.latency.maxValue());
     }
     table.print(std::cout);
 

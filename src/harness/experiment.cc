@@ -26,7 +26,7 @@ runOpenLoopWindow(ServiceDeployment &deployment,
     const SyscallSnapshot sys_before = snapshotSyscalls();
 
     OpenLoopLoadGen::Options load_options;
-    load_options.qps = options.qps;
+    load_options.shape = loadgen::LoadShape::constant(options.qps);
     load_options.durationNs = options.durationNs;
     load_options.seed = options.seed;
     OpenLoopLoadGen generator(load_options);

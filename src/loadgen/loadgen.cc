@@ -9,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "base/logging.h"
 #include "base/threading.h"
 #include "base/time_util.h"
 
@@ -16,15 +17,21 @@ namespace musuite {
 
 namespace {
 
+/** One phase's completion-side tallies. */
+struct PhaseTally
+{
+    Histogram latency;
+    uint64_t completed = 0;
+    uint64_t errors = 0;
+    uint64_t shed = 0;
+    uint64_t degraded = 0;
+};
+
 /** Completion-side state shared with in-flight callbacks. */
 struct OpenLoopState
 {
     Mutex mutex{LockRank::loadgen, "loadgen"};
-    Histogram latency GUARDED_BY(mutex);
-    uint64_t completed GUARDED_BY(mutex) = 0;
-    uint64_t errors GUARDED_BY(mutex) = 0;
-    uint64_t shed GUARDED_BY(mutex) = 0;
-    uint64_t degraded GUARDED_BY(mutex) = 0;
+    std::vector<PhaseTally> phases GUARDED_BY(mutex);
     std::atomic<uint64_t> outstanding{0};
 };
 
@@ -33,41 +40,54 @@ struct OpenLoopState
 LoadResult
 OpenLoopLoadGen::run(const AsyncIssue &issue)
 {
+    return runPhases(issue, {0}).front();
+}
+
+std::vector<LoadResult>
+OpenLoopLoadGen::runPhases(const AsyncIssue &issue,
+                           const std::vector<int64_t> &bounds)
+{
+    MUSUITE_CHECK(!bounds.empty() && bounds.front() == 0)
+        << "phase bounds must start at 0";
+    // Send times are fixed before the first request goes out, so a
+    // slow service can never push later arrivals back.
+    const std::vector<int64_t> schedule = loadgen::arrivalSchedule(
+        options.shape, options.durationNs, options.seed);
     auto state = std::make_shared<OpenLoopState>();
-    Rng rng(options.seed);
+    {
+        MutexLock guard(state->mutex);
+        state->phases.resize(bounds.size());
+    }
+    std::vector<uint64_t> issued(bounds.size(), 0);
 
     const int64_t start = nowNanos();
-    const int64_t deadline = start + options.durationNs;
-    // Inter-arrival gaps are exponential: a Poisson arrival process.
-    const double rate_per_ns = options.qps / 1e9;
-
-    uint64_t issued = 0;
-    int64_t scheduled = start;
-    while (issued < options.maxRequests) {
-        scheduled += int64_t(rng.nextExponential(rate_per_ns));
-        if (scheduled >= deadline)
-            break;
-        sleepUntilNanos(scheduled);
-
-        const uint64_t seq = issued++;
-        state->outstanding.fetch_add(1, std::memory_order_relaxed);
+    size_t phase = 0;
+    for (size_t seq = 0; seq < schedule.size(); ++seq) {
+        const int64_t offset = schedule[seq];
+        while (phase + 1 < bounds.size() && offset >= bounds[phase + 1])
+            ++phase;
         // Latency is measured from the *scheduled* send time: if the
         // generator itself fell behind (service pushed back), the
         // wait counts against the service, not the generator.
-        const int64_t scheduled_ns = scheduled;
-        issue(seq, [state, scheduled_ns](RequestOutcome outcome) {
+        const int64_t scheduled_ns = start + offset;
+        sleepUntilNanos(scheduled_ns);
+
+        issued[phase]++;
+        state->outstanding.fetch_add(1, std::memory_order_relaxed);
+        issue(seq, [state, phase, scheduled_ns](RequestOutcome outcome) {
             const int64_t now = nowNanos();
             {
                 MutexLock guard(state->mutex);
+                PhaseTally &tally = state->phases[phase];
                 if (outcome.ok) {
-                    state->latency.record(now - scheduled_ns);
-                    state->completed++;
+                    tally.latency.record(now - scheduled_ns);
+                    tally.completed++;
                     if (outcome.degraded)
-                        state->degraded++;
+                        tally.degraded++;
                 } else {
-                    state->errors++;
+                    tally.errors++;
                     if (outcome.shed)
-                        state->shed++;
+                        tally.shed++;
                 }
             }
             state->outstanding.fetch_sub(1, std::memory_order_release);
@@ -81,23 +101,29 @@ OpenLoopLoadGen::run(const AsyncIssue &issue)
         sleepForNanos(100'000);
     }
 
-    LoadResult result;
-    {
-        MutexLock guard(state->mutex);
-        result.latency = state->latency;
-        result.completed = state->completed;
-        result.errors = state->errors;
-        result.shed = state->shed;
-        result.degraded = state->degraded;
+    const int64_t elapsed = nowNanos() - start;
+    std::vector<LoadResult> results(bounds.size());
+    MutexLock guard(state->mutex);
+    for (size_t i = 0; i < bounds.size(); ++i) {
+        const PhaseTally &tally = state->phases[i];
+        const int64_t to =
+            i + 1 < bounds.size() ? bounds[i + 1] : options.durationNs;
+        LoadResult &result = results[i];
+        result.latency = tally.latency;
+        result.completed = tally.completed;
+        result.errors = tally.errors;
+        result.shed = tally.shed;
+        result.degraded = tally.degraded;
+        result.issued = issued[i];
+        result.offeredQps = options.shape.qpsAt((bounds[i] + to) / 2);
+        result.elapsedNs =
+            (i + 1 < bounds.size() ? bounds[i + 1] : elapsed) - bounds[i];
+        result.achievedQps =
+            result.elapsedNs > 0
+                ? double(result.completed) * 1e9 / double(result.elapsedNs)
+                : 0.0;
     }
-    result.issued = issued;
-    result.offeredQps = options.qps;
-    result.elapsedNs = nowNanos() - start;
-    result.achievedQps =
-        result.elapsedNs > 0
-            ? double(result.completed) * 1e9 / double(result.elapsedNs)
-            : 0.0;
-    return result;
+    return results;
 }
 
 LoadResult

@@ -9,7 +9,8 @@
  *    (saturation) throughput, where latency is meaningless.
  *
  *  - Open loop: request send times are drawn a priori from a Poisson
- *    process at the offered load and laid out on the monotonic clock;
+ *    process following a LoadShape (loadgen/scenario.h — constant,
+ *    diurnal or flash crowd) and laid out on the monotonic clock;
  *    latency for request i is measured from its *scheduled* send time,
  *    so a stalled service inflates the latency of every queued request
  *    instead of silently pausing the generator. This is the defence
@@ -23,9 +24,10 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
-#include "base/rng.h"
 #include "base/status.h"
+#include "loadgen/scenario.h"
 #include "stats/histogram.h"
 
 namespace musuite {
@@ -71,14 +73,6 @@ struct LoadResult
     double offeredQps = 0.0;  //!< Open loop only.
     double achievedQps = 0.0; //!< completed / elapsed.
     int64_t elapsedNs = 0;
-    /**
-     * Time from a fault clearing until goodput sustainably returned
-     * to its pre-fault baseline, when the run measured one (see
-     * stats/recovery.h); -1 = not measured or never recovered.
-     * Filled by fault-recovery experiments (bench/chaos_storm), not
-     * by the generators themselves.
-     */
-    int64_t recoveryTimeNs = -1;
 
     /** Drop rate sanity check for experiments. */
     double
@@ -133,17 +127,31 @@ class OpenLoopLoadGen
 
     struct Options
     {
-        double qps = 1000.0;        //!< Offered load.
+        loadgen::LoadShape shape; //!< Offered load over time.
         int64_t durationNs = 1'000'000'000;
-        uint64_t maxRequests = UINT64_MAX;
-        uint64_t seed = 1;
+        uint64_t seed = 1;        //!< Seeds the arrival schedule.
         int64_t drainTimeoutNs = 5'000'000'000; //!< Wait for stragglers.
     };
 
     explicit OpenLoopLoadGen(Options options) : options(options) {}
 
-    /** Run to completion on the calling thread. */
+    /**
+     * Sleep to each offset of arrivalSchedule(shape, durationNs, seed)
+     * and issue one request there; run to completion on the calling
+     * thread.
+     */
     LoadResult run(const AsyncIssue &issue);
+
+    /**
+     * The same run, reported per phase: result i holds the requests
+     * *scheduled* in [bounds[i], bounds[i+1]) — the last phase runs to
+     * the end — so a backlog built in one phase is charged to the
+     * phase whose requests waited in it. Each phase's offered load is
+     * the shape's rate at its midpoint; its elapsed time is its window
+     * (the last one includes the drain).
+     */
+    std::vector<LoadResult> runPhases(const AsyncIssue &issue,
+                                      const std::vector<int64_t> &bounds);
 
   private:
     Options options;

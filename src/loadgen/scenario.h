@@ -6,9 +6,11 @@
  * cycle, or flash crowd — and arrivalSchedule() turns a shape into a
  * concrete, deterministic Poisson arrival schedule (thinning over the
  * shape's peak rate), expressed as offsets from t=0. The schedule is
- * clock-agnostic: the real-time load generator can sleep to each
- * offset, and the sim benches (`bench/dag_storm`) arm one SimClock
- * timer per arrival, so the identical workload drives both modes.
+ * clock-agnostic, and it is the only Poisson arrival source: the
+ * real-time OpenLoopLoadGen sleeps to each offset, sim::simulate()
+ * lays its modelled queries on it, and sim::driveRootLoad() arms one
+ * SimClock timer per arrival, so the identical workload drives every
+ * mode.
  * Coordinated-omission-safe by construction: arrival instants are
  * fixed up front and never shifted by response latency.
  */

@@ -8,7 +8,7 @@
  * into the tier, the per-leg resilience policy, and an optional fault
  * shape (slow-leaf brownout, shedding storm). The spec is plain data:
  * `sim::buildTopology` instantiates it as real GraphNode servers wired
- * through SimChannels on one SimClock, and `bench/dag_storm` plus
+ * through SimChannels on one SimClock, and `bench/sim_storm` plus
  * `tests/sim_replay_test` drive the same specs, so a scenario added
  * here is immediately benchable and replay-testable.
  */
@@ -111,7 +111,7 @@ struct GraphScenario
 };
 
 // --- named scenario library ------------------------------------------
-// Shared by bench/dag_storm and tests/sim_replay_test so benchmarks
+// Shared by bench/sim_storm and tests/sim_replay_test so benchmarks
 // and replay invariants exercise the exact same topologies.
 
 /** 3-deep, fan-out 3 per stage, modest load, no faults. */
@@ -131,7 +131,7 @@ GraphScenario retryStormDag(uint64_t seed);
  * faults — the chaos campaign (simkernel/chaos.h) injects zombie /
  * slow-ramp / flap / partition shapes onto the leaf links at runtime.
  * The eject_outliers=false variant is the ablation baseline
- * bench/chaos_storm compares p99 against.
+ * bench/sim_storm's chaos suite compares p99 against.
  */
 GraphScenario grayDag(uint64_t seed, bool eject_outliers = true);
 

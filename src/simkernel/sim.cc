@@ -13,6 +13,7 @@
 
 #include "base/logging.h"
 #include "base/rng.h"
+#include "loadgen/scenario.h"
 #include "simkernel/simclock.h"
 
 namespace musuite {
@@ -585,16 +586,13 @@ simulate(const MachineParams &machine, const ServiceParams &service,
         });
     };
 
-    // Poisson arrivals laid out a priori (open loop).
-    const double rate_per_ns = qps / 1e9;
-    int64_t t = 0;
-    while (true) {
-        t += int64_t(rng.nextExponential(rate_per_ns));
-        if (t >= duration_ns)
-            break;
-        const int64_t send_time = t;
-        const int64_t arrival = t + usToNs(machine.wireDelayUs);
-        engine.schedule(arrival,
+    // Poisson arrivals laid out a priori (open loop). The schedule
+    // gets its own derived seed: drawing it from `rng`, which also
+    // samples service times, would correlate the two.
+    for (const int64_t send_time : loadgen::arrivalSchedule(
+             loadgen::LoadShape::constant(qps), duration_ns,
+             seed * 131 + 7)) {
+        engine.schedule(send_time + usToNs(machine.wireDelayUs),
                         [&, send_time] { client_arrival(send_time); });
     }
 

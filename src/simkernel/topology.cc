@@ -186,5 +186,65 @@ buildTopology(SimClock &clock, const graph::GraphScenario &scenario,
     return topo;
 }
 
+RootLoadTotals
+driveRootLoad(SimClock &clock, const Topology &topo,
+              const loadgen::LoadShape &shape, int64_t duration_ns,
+              int64_t root_deadline_ns, uint64_t seed,
+              const std::function<void(const RootCompletion &)> &observe)
+{
+    const std::vector<int64_t> arrivals =
+        loadgen::arrivalSchedule(shape, duration_ns, seed * 131 + 7);
+    // Completion callbacks hold this by value: one that fires after
+    // the drain (say, on topology teardown) finds `observe` cleared
+    // instead of dangling.
+    struct Shared
+    {
+        const std::function<void(const RootCompletion &)> *observe;
+        size_t completed = 0;
+    };
+    auto shared = std::make_shared<Shared>(Shared{&observe});
+    const int64_t base = clock.nowNanos();
+    for (size_t i = 0; i < arrivals.size(); ++i) {
+        const int64_t start = base + arrivals[i];
+        clock.schedule(arrivals[i], [&clock, &topo, shared, i, start,
+                                     root_deadline_ns, seed] {
+            graph::GraphRequest request;
+            request.workId = i + 1;
+            rpc::CallOptions options;
+            options.totalDeadlineNs = root_deadline_ns;
+            options.deadlineNs = root_deadline_ns;
+            options.maxAttempts = 2;
+            options.backoffBaseNs = 2'000'000;
+            options.backoffJitter = 0.2;
+            options.backoffJitterSeed = seed * 977 + 11 + uint64_t(i);
+            topo.root->call(
+                graph::kProcess, encodeMessage(request), options,
+                [&clock, shared, i, start](const Status &status,
+                                           std::string_view payload) {
+                    if (shared->observe == nullptr)
+                        return;
+                    RootCompletion done;
+                    done.index = i;
+                    done.startNs = start;
+                    done.doneNs = clock.nowNanos();
+                    done.status = status;
+                    if (status.isOk() &&
+                        !decodeMessage(payload, done.reply))
+                        done.reply = graph::GraphReply();
+                    shared->completed++;
+                    (*shared->observe)(done);
+                });
+        });
+    }
+
+    clock.runUntilIdle();
+    shared->observe = nullptr;
+    RootLoadTotals totals;
+    totals.offered = arrivals.size();
+    totals.lostCompletions = arrivals.size() - shared->completed;
+    totals.leakedTimers = clock.pendingTimers();
+    return totals;
+}
+
 } // namespace sim
 } // namespace musuite

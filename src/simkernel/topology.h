@@ -9,9 +9,9 @@
  * widths, compute models, link latency *distributions*, and fault
  * shapes — into a tree of unstarted rpc::Servers hosting GraphNodes,
  * wired parent-to-child through SimChannels on one SimClock. The
- * returned Topology owns everything; callers drive traffic through
- * `root` (a client-side SimChannel to the root node) and pump the
- * clock.
+ * returned Topology owns everything; driveRootLoad() drives open-loop
+ * traffic through `root` (a client-side SimChannel to the root node)
+ * and pumps the clock.
  *
  * Determinism: all per-entity randomness (link jitter samplers, node
  * cache RNGs, fault injectors) derives from scenario.seed mixed with
@@ -21,12 +21,16 @@
 #ifndef MUSUITE_SIMKERNEL_TOPOLOGY_H
 #define MUSUITE_SIMKERNEL_TOPOLOGY_H
 
+#include <functional>
 #include <memory>
 #include <vector>
 
+#include "base/status.h"
+#include "loadgen/scenario.h"
 #include "rpc/fault.h"
 #include "rpc/health.h"
 #include "services/graph/node.h"
+#include "services/graph/proto.h"
 #include "services/graph/scenario.h"
 #include "simkernel/sim_transport.h"
 #include "simkernel/simclock.h"
@@ -99,6 +103,42 @@ struct Topology
 Topology buildTopology(SimClock &clock,
                        const graph::GraphScenario &scenario,
                        SimLink root_link = {});
+
+/** One root request's outcome, as handed to a driveRootLoad()
+ *  observer. */
+struct RootCompletion
+{
+    size_t index = 0;         //!< Position in the arrival schedule.
+    int64_t startNs = 0;      //!< Scheduled send instant.
+    int64_t doneNs = 0;       //!< When the root's answer arrived.
+    Status status;
+    graph::GraphReply reply;  //!< Decoded when status is OK.
+};
+
+/** What driveRootLoad() saw besides the completions themselves. */
+struct RootLoadTotals
+{
+    size_t offered = 0;         //!< Arrivals in the schedule.
+    size_t lostCompletions = 0; //!< Arrivals that never completed.
+    size_t leakedTimers = 0;    //!< Timers still armed once idle.
+};
+
+/**
+ * Drive `topo` with open-loop root load and pump `clock` until idle.
+ *
+ * Arrivals are arrivalSchedule(shape, duration_ns, seed * 131 + 7),
+ * as offsets from the clock's current instant, so coordinated
+ * omission cannot hide a stall. Each arrival issues one graph::kProcess
+ * call through `topo.root` with the shared root CallOptions: a
+ * `root_deadline_ns` total budget, 2 attempts, 2ms backoff with 20%
+ * jitter seeded seed * 977 + 11 + index. Every completion is handed to
+ * `observe`, in virtual-time order, before this returns.
+ */
+RootLoadTotals driveRootLoad(
+    SimClock &clock, const Topology &topo,
+    const loadgen::LoadShape &shape, int64_t duration_ns,
+    int64_t root_deadline_ns, uint64_t seed,
+    const std::function<void(const RootCompletion &)> &observe);
 
 } // namespace sim
 } // namespace musuite

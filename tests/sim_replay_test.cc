@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -519,73 +520,71 @@ runDagScenario(const graph::GraphScenario &scenario, double qps,
     clock.enableTrace();
     sim::Topology topo = sim::buildTopology(clock, scenario);
 
-    const std::vector<int64_t> arrivals = loadgen::arrivalSchedule(
-        loadgen::LoadShape::constant(qps), duration_ns,
-        scenario.seed * 131 + 7);
-
     const CounterSnapshot before = globalCounters().snapshot();
     DagRun run;
-    auto completions = std::make_shared<std::atomic<size_t>>(0);
-    const uint64_t seed = scenario.seed;
-    for (size_t i = 0; i < arrivals.size(); ++i) {
-        const int64_t start = arrivals[i];
-        clock.schedule(start, [&clock, &topo, &run, completions, seed,
-                               i, start, root_deadline_ns] {
-            graph::GraphRequest request;
-            request.workId = i + 1;
-            CallOptions options;
-            options.totalDeadlineNs = root_deadline_ns;
-            options.deadlineNs = root_deadline_ns;
-            options.maxAttempts = 2;
-            options.backoffBaseNs = 2 * kMs;
-            options.backoffJitter = 0.2;
-            options.backoffJitterSeed = seed * 977 + 11 + uint64_t(i);
-            topo.root->call(
-                graph::kProcess, encodeMessage(request), options,
-                [&clock, &run, completions, start, root_deadline_ns,
-                 i](const Status &status, std::string_view payload) {
-                    const int64_t elapsed = clock.nowNanos() - start;
-                    if (elapsed > root_deadline_ns)
-                        run.lateCompletions++;
-                    clock.traceEvent(
-                        "dag " + std::to_string(i) + " done code=" +
-                        std::to_string(int(status.code())));
-                    if (status.isOk()) {
-                        run.ok++;
-                        graph::GraphReply reply;
-                        if (decodeMessage(payload, reply)) {
-                            run.maxNodesVisited =
-                                std::max(run.maxNodesVisited,
-                                         reply.nodesVisited);
-                            if (reply.degraded)
-                                run.degradedOk++;
-                        }
-                    } else {
-                        run.failed++;
-                        if (status.code() ==
-                            StatusCode::ResourceExhausted) {
-                            run.exhausted++;
-                            if (status.retryAfterNs() > 0) {
-                                run.exhaustedWithHint++;
-                                run.maxRetryAfterNs =
-                                    std::max(run.maxRetryAfterNs,
-                                             status.retryAfterNs());
-                            }
-                        }
-                    }
-                    completions->fetch_add(1);
-                });
+    const sim::RootLoadTotals totals = sim::driveRootLoad(
+        clock, topo, loadgen::LoadShape::constant(qps), duration_ns,
+        root_deadline_ns, scenario.seed,
+        [&](const sim::RootCompletion &done) {
+            if (done.doneNs - done.startNs > root_deadline_ns)
+                run.lateCompletions++;
+            clock.traceEvent("dag " + std::to_string(done.index) +
+                             " done code=" +
+                             std::to_string(int(done.status.code())));
+            if (done.status.isOk()) {
+                run.ok++;
+                run.maxNodesVisited = std::max(run.maxNodesVisited,
+                                               done.reply.nodesVisited);
+                if (done.reply.degraded)
+                    run.degradedOk++;
+                return;
+            }
+            run.failed++;
+            if (done.status.code() == StatusCode::ResourceExhausted) {
+                run.exhausted++;
+                if (done.status.retryAfterNs() > 0) {
+                    run.exhaustedWithHint++;
+                    run.maxRetryAfterNs = std::max(
+                        run.maxRetryAfterNs, done.status.retryAfterNs());
+                }
+            }
         });
-    }
-
-    clock.runUntilIdle();
-    EXPECT_EQ(completions->load(), arrivals.size())
+    EXPECT_EQ(totals.lostCompletions, 0u)
         << "lost DAG completions, scenario " << scenario.name
         << " seed " << scenario.seed;
-    run.leakedTimers = clock.pendingTimers();
+    run.leakedTimers = totals.leakedTimers;
     run.delta = CounterSet::diff(before, globalCounters().snapshot());
     run.trace = clock.takeTrace();
     return run;
+}
+
+TEST(SimDagTest, RootLoadDriverCompletesEveryArrivalOnce)
+{
+    SimClock clock;
+    ScopedClock ambient(clock);
+    const auto spec = graph::retryStormDag(3);
+    sim::Topology topo = sim::buildTopology(clock, spec);
+    // An overloaded tree: sheds, retries and deadline expiries all
+    // race, and each arrival must still be answered exactly once, at
+    // or after its scheduled instant.
+    const auto shape = loadgen::LoadShape::constant(5'000.0);
+    const std::vector<int64_t> arrivals =
+        loadgen::arrivalSchedule(shape, 40 * kMs, spec.seed * 131 + 7);
+    std::vector<int> seen(arrivals.size(), 0);
+    const sim::RootLoadTotals totals = sim::driveRootLoad(
+        clock, topo, shape, 40 * kMs, 50 * kMs, spec.seed,
+        [&](const sim::RootCompletion &done) {
+            ASSERT_LT(done.index, arrivals.size());
+            EXPECT_EQ(done.startNs, arrivals[done.index]);
+            EXPECT_GE(done.doneNs, done.startNs);
+            seen[done.index]++;
+        });
+    ASSERT_GT(arrivals.size(), 100u);
+    EXPECT_EQ(totals.offered, arrivals.size());
+    EXPECT_EQ(totals.lostCompletions, 0u);
+    EXPECT_EQ(totals.leakedTimers, 0u);
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+              std::ptrdiff_t(arrivals.size()));
 }
 
 TEST(SimDagTest, BrownoutScenarioReplaysByteIdentically)
@@ -789,44 +788,22 @@ runChaosScenario(uint64_t seed, sim::ChaosEvent::Kind kind)
     event.rampPerCallNs = 500'000;   // Crosses the leg deadline fast.
     campaign.arm({event});
 
-    const std::vector<int64_t> arrivals = loadgen::arrivalSchedule(
-        loadgen::LoadShape::constant(2'000.0), 120 * kMs,
-        seed * 131 + 7);
     const CounterSnapshot before = globalCounters().snapshot();
     ChaosRun run;
-    auto completions = std::make_shared<std::atomic<size_t>>(0);
-    for (size_t i = 0; i < arrivals.size(); ++i) {
-        clock.schedule(arrivals[i], [&clock, &topo, &run, completions,
-                                     seed, i] {
-            graph::GraphRequest request;
-            request.workId = i + 1;
-            CallOptions options;
-            options.totalDeadlineNs = 50 * kMs;
-            options.deadlineNs = 50 * kMs;
-            options.maxAttempts = 2;
-            options.backoffBaseNs = 2 * kMs;
-            options.backoffJitter = 0.2;
-            options.backoffJitterSeed = seed * 977 + 11 + uint64_t(i);
-            topo.root->call(
-                graph::kProcess, encodeMessage(request), options,
-                [&clock, &run, completions, i](const Status &status,
-                                               std::string_view) {
-                    clock.traceEvent(
-                        "chaos " + std::to_string(i) + " done code=" +
-                        std::to_string(int(status.code())));
-                    if (status.isOk())
-                        run.ok++;
-                    else
-                        run.failed++;
-                    completions->fetch_add(1);
-                });
+    const sim::RootLoadTotals totals = sim::driveRootLoad(
+        clock, topo, loadgen::LoadShape::constant(2'000.0), 120 * kMs,
+        50 * kMs, seed, [&](const sim::RootCompletion &done) {
+            clock.traceEvent("chaos " + std::to_string(done.index) +
+                             " done code=" +
+                             std::to_string(int(done.status.code())));
+            if (done.status.isOk())
+                run.ok++;
+            else
+                run.failed++;
         });
-    }
-
-    clock.runUntilIdle();
-    EXPECT_EQ(completions->load(), arrivals.size())
+    EXPECT_EQ(totals.lostCompletions, 0u)
         << "lost chaos completions at seed " << seed;
-    run.leakedTimers = clock.pendingTimers();
+    run.leakedTimers = totals.leakedTimers;
     for (const auto &policy : topo.ejectionPolicies) {
         run.ejections += policy->ejections();
         run.reinstatements += policy->reinstatements();

@@ -6,8 +6,8 @@
 #   1. -Werror release build            (warning-clean tree)
 #      + bench/micro_rpc smoke -> BENCH_rpc.json (rpc bench trajectory)
 #      + bench/overload_storm smoke -> BENCH_overload.json (goodput)
-#      + bench/dag_storm smoke -> BENCH_dag.json (deep-DAG goodput)
-#      + bench/chaos_storm smoke -> BENCH_chaos.json (gray failures)
+#      + bench/sim_storm smoke -> BENCH_dag.json (deep-DAG goodput)
+#        and BENCH_chaos.json (gray failures)
 #      + svcbench correctness smoke (both service workloads, traced
 #        and untraced; answers checked)
 #      + tools/mulint over src/ (static lock-rank, raw-sync, thread-role,
@@ -115,42 +115,30 @@ else
     failures+=("bench-smoke: overload_storm")
 fi
 
-# ---- stage 1c2: dag_storm bench smoke ------------------------------------
-# Shortened deep-DAG storm (3-deep spec-built topology, 40 sim hosts)
-# against the werror build; emits BENCH_dag.json. Runs in virtual time,
-# so its gates are exact: every arrival completes once, nothing outlives
-# the root deadline, sheds carry pacing hints, zero retry amplification.
-banner "bench smoke: dag_storm"
-if cmake --build build-check-werror --target dag_storm -j "$jobs" \
+# ---- stage 1c2: sim_storm bench smoke ------------------------------------
+# Both virtual-time storm suites on the 3-deep spec-built topology (40
+# sim hosts) against the werror build. The dag suite (steady, brownout
+# diurnal, 2x retry storm) emits BENCH_dag.json; the chaos suite
+# (zombie / slow-ramp / flap / partial partition, each with and without
+# outlier ejection, on the grayDag topology) emits BENCH_chaos.json.
+# Virtual time makes the gates exact: every arrival completes exactly
+# once, no leaked timers, nothing outlives the root deadline, sheds
+# carry pacing hints, zero retry amplification; ejection detects within
+# the fault window, goodput recovers within the bound, and the eject
+# arm beats the baseline on settled-fault-window p99 for the shapes
+# where ejection should win (zombie, slow-ramp).
+banner "bench smoke: sim_storm"
+if cmake --build build-check-werror --target sim_storm -j "$jobs" \
         >>build-check-werror/build.log 2>&1 \
-        && build-check-werror/bench/dag_storm \
-            --smoke-json="$repo_root/BENCH_dag.json"; then
+        && build-check-werror/bench/sim_storm \
+            --smoke-dir="$repo_root"; then
     :
 else
     echo "BENCH SMOKE FAILED"
-    failures+=("bench-smoke: dag_storm")
+    failures+=("bench-smoke: sim_storm")
 fi
 
-# ---- stage 1c3: chaos_storm bench smoke ----------------------------------
-# Gray-failure campaign (zombie / slow-ramp / flap / partial partition,
-# each with and without outlier ejection) on the grayDag topology;
-# emits BENCH_chaos.json. Virtual time again, so the gates are exact:
-# every arrival completes exactly once, no leaked timers, ejection
-# detects within the fault window, goodput recovers within the bound,
-# and the eject arm beats the baseline on settled-fault-window p99 for
-# the shapes where ejection should win (zombie, slow-ramp).
-banner "bench smoke: chaos_storm"
-if cmake --build build-check-werror --target chaos_storm -j "$jobs" \
-        >>build-check-werror/build.log 2>&1 \
-        && build-check-werror/bench/chaos_storm \
-            --smoke-json="$repo_root/BENCH_chaos.json"; then
-    :
-else
-    echo "BENCH SMOKE FAILED"
-    failures+=("bench-smoke: chaos_storm")
-fi
-
-# ---- stage 1c4: svcbench correctness smoke -------------------------------
+# ---- stage 1c3: svcbench correctness smoke -------------------------------
 # Both service-benchmark workloads (Router YCSB-A, Set Algebra) over
 # loopback TCP, untraced and traced, two one-second segments each.
 # run.py builds svcbench (Release, under .bench_build/) and exits
